@@ -941,6 +941,111 @@ let test_engine_catch_up_guard () =
   E.catch_up eng;
   Alcotest.(check rat) "finite clock resumes" (R.of_int 3) (E.now eng)
 
+
+(* ------------------------------------------------------------------ *)
+(* Golden schedules                                                    *)
+(* ------------------------------------------------------------------ *)
+
+(* A pinned live-submit session, byte-compared against a committed
+   fixture: every reply, the chronological slice list and the final
+   metrics.  It pins the engine's observable behaviour — decisions, tie
+   breaks, parking, metrics — across refactors of its bookkeeping.  Bank
+   0 lives only on machine 0, so the [fail 0] / [recover 0] pair parks
+   and unparks requests as well as re-planning around the hole. *)
+let golden_platform () =
+  {
+    W.speeds = [| R.one; R.of_ints 3 2; R.of_int 2; R.of_ints 5 4 |];
+    bank_sizes = [| 3800; 1900; 2600 |];
+    has_bank =
+      [| [| true; true; false |];
+         [| false; true; true |];
+         [| false; false; true |];
+         [| false; true; true |] |];
+  }
+
+(* Tick up to each arrival and submit it, with a [status] every tenth
+   submit, [fail 0] a third of the way through and [recover 0] halfway,
+   then drain. *)
+let golden_script ~count =
+  let trace = T.diurnal ~seed:12 ~banks:3 ~peak_rate:0.2 ~count () in
+  let now = ref R.zero in
+  let centis r = int_of_string (R.to_string (R.mul r (R.of_int 100))) in
+  List.concat
+    (List.mapi
+       (fun k (e : T.entry) ->
+         let at = e.request.W.arrival in
+         let tick =
+           if R.compare at !now > 0 then begin
+             let c = centis (R.sub at !now) in
+             now := at;
+             [ Printf.sprintf "tick %d.%02d" (c / 100) (c mod 100) ]
+           end
+           else []
+         in
+         let fault =
+           if k = count / 3 then [ "fail 0" ] else if k = count / 2 then [ "recover 0" ] else []
+         in
+         tick @ fault
+         @ [ Printf.sprintf "submit %s %d %d" e.id e.request.W.bank e.request.W.num_motifs ]
+         @ if k mod 10 = 9 then [ "status" ] else [])
+       trace.entries)
+  @ [ "status"; "drain"; "status" ]
+
+(* Drop one histogram (wall-clock solver seconds) from a registry JSON
+   line. *)
+let strip_histogram name json =
+  let key = Printf.sprintf "\"%s\":{" name in
+  let nk = String.length key and nj = String.length json in
+  let rec find i =
+    if i + nk > nj then json
+    else if String.sub json i nk = key then begin
+      let close = String.index_from json i '}' in
+      let stop = if close + 1 < nj && json.[close + 1] = ',' then close + 2 else close + 1 in
+      String.sub json 0 i ^ String.sub json stop (nj - stop)
+    end
+    else find (i + 1)
+  in
+  find 0
+
+let golden_text ~policy ~count =
+  let eng = E.create ~clock:(Serve.Clock.virtual_ ()) ~policy (golden_platform ()) in
+  let srv = Serve.Server.create ~admission:(A.create eng) eng in
+  let b = Buffer.create 65536 in
+  let line s = Buffer.add_string b s; Buffer.add_char b '\n' in
+  List.iter
+    (fun cmd ->
+      line ("> " ^ cmd);
+      List.iter line (fst (Serve.Server.handle_line srv cmd)))
+    (golden_script ~count);
+  List.iter
+    (fun (s : S.slice) ->
+      line
+        (Printf.sprintf "slice %d %d %s %s" s.machine s.job (R.to_string s.start)
+           (R.to_string s.stop)))
+    (S.slices (E.schedule eng));
+  (match Serve.Server.handle_line srv "metrics json" with
+   | json :: _, _ -> line (strip_histogram "lp_solve_seconds" json)
+   | [], _ -> Alcotest.fail "metrics json: no reply");
+  Buffer.contents b
+
+(* On a mismatch the actual text is left next to the test binary as
+   [engine_golden_<policy>.actual], for diffing (or, after a deliberate
+   behaviour change, for review and promotion into test/fixtures/).  The
+   pool runs at width 1: the numeric tower's operation counters, which the
+   metrics carry, lose increments under parallel probing. *)
+let test_golden (policy : (module Online.Sim.POLICY)) ~count () =
+  let module P = (val policy) in
+  let file = Printf.sprintf "engine_golden_%s.txt" P.name in
+  let expected =
+    In_channel.with_open_bin (Filename.concat "fixtures" file) In_channel.input_all
+  in
+  let actual = Par.Pool.with_jobs 1 (fun () -> golden_text ~policy ~count) in
+  if actual <> expected then begin
+    Out_channel.with_open_bin (Filename.remove_extension file ^ ".actual") (fun oc ->
+        output_string oc actual);
+    Alcotest.failf "%s: engine output differs from the fixture" file
+  end
+
 (* ------------------------------------------------------------------ *)
 
 let () =
@@ -991,5 +1096,15 @@ let () =
           Alcotest.test_case "door validation" `Quick test_server_door_validation;
           Alcotest.test_case "grammar lint" `Quick test_protocol_grammar_lint;
           Alcotest.test_case "tick guard" `Quick test_server_tick_guard
-        ] )
+        ] );
+      ( "golden",
+        List.map
+          (fun ((module P : Online.Sim.POLICY) as policy, count) ->
+            Alcotest.test_case P.name `Quick (test_golden policy ~count))
+          [ ((module Online.Policies.Mct : Online.Sim.POLICY), 400);
+            ((module Online.Policies.Fcfs), 400);
+            ((module Online.Policies.Srpt), 400);
+            ((module Online.Policies.Evd), 400);
+            ((module Online.Policies.Fair), 400);
+            ((module Online.Online_opt.Divisible), 40) ] )
     ]
