@@ -50,6 +50,9 @@ val healthy : overlay -> bool
 val machine_live : machine_state -> bool
 (** [true] for [Up] and [Degraded _], [false] for [Down]. *)
 
+val mask_cost : machine_state -> Rat.t option -> Rat.t option
+(** One entry of {!mask_column}: the cost of a machine in this state. *)
+
 val mask_column : overlay -> Rat.t option array -> Rat.t option array
 (** Apply the overlay to a base cost column ({!cost_column}): [Down]
     machines are masked to [None], [Degraded f] costs are scaled by [f].

@@ -67,37 +67,45 @@ let check_decision ?where ?(up = fun _ -> true) ~name inst ~eligible ~now d =
   | Some r when Rat.compare r now <= 0 -> bad ?where name "review_at not in the future"
   | _ -> ()
 
-let progress_rates inst d =
-  let rate = Array.make (I.num_jobs inst) Rat.zero in
+let next_completion ~cost ~now ~remaining d =
+  let rate = Hashtbl.create 8 in
   List.iter
     (fun s ->
-      match I.cost inst ~machine:s.machine ~job:s.job with
-      | Some c -> rate.(s.job) <- Rat.add rate.(s.job) (Rat.div s.share c)
+      match cost ~machine:s.machine ~job:s.job with
+      | Some c ->
+        let r = Option.value (Hashtbl.find_opt rate s.job) ~default:Rat.zero in
+        Hashtbl.replace rate s.job (Rat.add r (Rat.div s.share c))
       | None -> assert false)
     d.shares;
-  rate
+  Hashtbl.fold
+    (fun j r acc ->
+      let c = Rat.add now (Rat.div remaining.(j) r) in
+      match acc with None -> Some c | Some b -> Some (Rat.min b c))
+    rate None
 
-let materialize inst ~now ~horizon d ~remaining =
+let materialize ~cost ~machines ~now ~horizon d ~remaining =
   let dt = Rat.sub horizon now in
-  let cursor = Array.make (I.num_machines inst) now in
+  let cursor = Array.make machines now in
   List.map
     (fun s ->
       let duration = Rat.mul s.share dt in
       let start = cursor.(s.machine) in
       let stop = Rat.add start duration in
       cursor.(s.machine) <- stop;
-      (match I.cost inst ~machine:s.machine ~job:s.job with
+      (match cost ~machine:s.machine ~job:s.job with
        | Some c -> remaining.(s.job) <- Rat.sub remaining.(s.job) (Rat.div duration c)
        | None -> assert false);
       { S.machine = s.machine; job = s.job; start; stop })
     d.shares
 
+module Ids = Set.Make (Int)
+
 let run (module P : POLICY) inst =
   let n = I.num_jobs inst in
   let state = P.init inst in
   let remaining = Array.make n Rat.one in
-  let completed = Array.make n false in
-  let arrived = Array.make n false in
+  (* Arrived, incomplete jobs: every event visits these only. *)
+  let live = ref Ids.empty in
   (* Arrival queue ordered by release date. *)
   let arrival_order =
     List.sort
@@ -109,22 +117,19 @@ let run (module P : POLICY) inst =
   let pending = ref arrival_order in
   let slices = ref [] in
   let decisions = ref 0 in
-  let active_views now =
-    ignore now;
-    List.filter_map
+  let active_views () =
+    List.map
       (fun j ->
-        if arrived.(j) && not (completed.(j)) then
-          Some { id = j; release = I.release inst j; weight = I.weight inst j;
-                 remaining = remaining.(j) }
-        else None)
-      (List.init n (fun j -> j))
+        { id = j; release = I.release inst j; weight = I.weight inst j;
+          remaining = remaining.(j) })
+      (Ids.elements !live)
   in
   let fire_arrivals now =
     let rec go () =
       match !pending with
       | j :: rest when Rat.compare (I.release inst j) now <= 0 ->
         pending := rest;
-        arrived.(j) <- true;
+        live := Ids.add j !live;
         P.on_arrival state ~now ~job:j;
         go ()
       | _ -> ()
@@ -132,14 +137,11 @@ let run (module P : POLICY) inst =
     go ()
   in
   let validate_decision now d =
-    check_decision ~name:P.name inst
-      ~eligible:(fun j -> arrived.(j) && not completed.(j))
-      ~now d
+    check_decision ~name:P.name inst ~eligible:(fun j -> Ids.mem j !live) ~now d
   in
   let rec loop now guard =
     if guard <= 0 then bad P.name "no progress (possible livelock)";
-    let active = active_views now in
-    if active = [] then begin
+    if Ids.is_empty !live then begin
       match !pending with
       | [] -> () (* done *)
       | j :: _ ->
@@ -149,22 +151,10 @@ let run (module P : POLICY) inst =
     end
     else begin
       incr decisions;
-      let d = P.decide state ~now ~active in
+      let d = P.decide state ~now ~active:(active_views ()) in
       validate_decision now d;
-      let rate = progress_rates inst d in
       (* Earliest of: job completion, next arrival, requested review. *)
-      let completion_candidate =
-        List.fold_left
-          (fun acc v ->
-            if Rat.sign rate.(v.id) > 0 then begin
-              let t = Rat.add now (Rat.div v.remaining rate.(v.id)) in
-              match acc with
-              | None -> Some t
-              | Some best -> Some (Rat.min best t)
-            end
-            else acc)
-          None active
-      in
+      let completion_candidate = next_completion ~cost:(I.cost inst) ~now ~remaining d in
       let arrival_candidate =
         match !pending with [] -> None | j :: _ -> Some (I.release inst j)
       in
@@ -183,17 +173,20 @@ let run (module P : POLICY) inst =
       | Some te ->
         if Rat.compare te now <= 0 then bad P.name "time did not advance";
         (* Materialize shares sequentially per machine and update progress. *)
-        slices := List.rev_append (materialize inst ~now ~horizon:te d ~remaining) !slices;
-        for j = 0 to n - 1 do
-          if (not completed.(j)) && arrived.(j) then begin
+        slices :=
+          List.rev_append
+            (materialize ~cost:(I.cost inst) ~machines:(I.num_machines inst) ~now
+               ~horizon:te d ~remaining)
+            !slices;
+        Ids.iter
+          (fun j ->
             if Rat.sign remaining.(j) < 0 then
               bad P.name "job %d over-processed (engine invariant broken)" j;
             if Rat.is_zero remaining.(j) then begin
-              completed.(j) <- true;
+              live := Ids.remove j !live;
               P.on_completion state ~now:te ~job:j
-            end
-          end
-        done;
+            end)
+          !live;
         fire_arrivals te;
         loop te (guard - 1)
     end

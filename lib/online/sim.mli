@@ -37,10 +37,12 @@ type decision = {
       (** ask to be consulted again at this date even if no event occurs *)
 }
 
-(** Online scheduling policy.  The engine passes the full instance to
-    [init] for convenience (cost matrix, weights), but an honest online
-    policy must only ever inspect jobs that have been announced through
-    [on_arrival]. *)
+(** Online scheduling policy.  {!run} passes the full instance to [init]
+    for convenience (cost matrix, weights), but an honest online policy
+    must only ever inspect jobs that have been announced through
+    [on_arrival].  The serving engine passes an instance over its
+    incomplete jobs only, numbered in the same relative order, so a
+    policy must not assume its job indices are the engine's. *)
 module type POLICY = sig
   type state
 
@@ -125,12 +127,20 @@ val check_decision :
     @raise Invalid_argument with a ["where(name): ..."] message ([where]
     defaults to ["Sim.run"]). *)
 
-val progress_rates : Sched_core.Instance.t -> decision -> Rat.t array
-(** Per-job progress rate [Σ_i s_{i,j}/c_{i,j}] implied by the decision;
-    length [num_jobs]. *)
+val next_completion :
+  cost:(machine:int -> job:int -> Rat.t option) ->
+  now:Rat.t ->
+  remaining:Rat.t array ->
+  decision ->
+  Rat.t option
+(** Earliest date at which a job of the decision runs out of work, when
+    job [j] progresses at rate [Σ_i s_{i,j}/c_{i,j}] ([cost] gives
+    [c_{i,j}]) from [remaining.(j)]; [None] when the decision has no
+    shares.  Visits the decision's shares only. *)
 
 val materialize :
-  Sched_core.Instance.t ->
+  cost:(machine:int -> job:int -> Rat.t option) ->
+  machines:int ->
   now:Rat.t ->
   horizon:Rat.t ->
   decision ->
@@ -139,6 +149,6 @@ val materialize :
 (** Lay the decision's shares out sequentially per machine over
     [\[now, horizon)] (share [s] becomes a slice of duration
     [s·(horizon−now)] starting at the machine's cursor), debiting each
-    job's entry of [remaining] by the fraction processed.  The result is
-    machine-disjoint within the segment; slices are returned in decision
-    order. *)
+    job's entry of [remaining] by the fraction processed at [cost].  The
+    result is machine-disjoint within the segment; slices are returned in
+    decision order. *)

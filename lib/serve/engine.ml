@@ -21,7 +21,29 @@ type job = {
   mutable arrived : bool;  (* arrival date has passed *)
   mutable parked : bool;  (* arrived but starved: no live machine can run it *)
   mutable completed_at : Rat.t option;
+  mutable slot : int;  (* local index in the current [table] *)
 }
+
+(* Job indices, in increasing order. *)
+module Ids = Set.Make (Int)
+
+(* Announcement order: (arrival date, index). *)
+module Arrival = struct
+  type t = Rat.t * int
+
+  let compare (a, i) (b, j) =
+    let c = Rat.compare a b in
+    if c <> 0 then c else Int.compare i j
+end
+
+(* Not-yet-arrived jobs, in announcement order. *)
+module Pending = Set.Make (Arrival)
+
+(* The policy's view of the jobs (DESIGN.md §7).  Built at each rebuild
+   barrier over the incomplete jobs only; [ids] maps the policy's local
+   job index to the engine's global one and is increasing, so every
+   tie-break by job index is unchanged by the renumbering. *)
+type table = { ids : int array; inst : I.t }
 
 (* The policy's abstract state, packed with its module. *)
 type runner = Runner : (module Sim.POLICY with type state = 's) * 's -> runner
@@ -49,13 +71,19 @@ type t = {
      pending injection queue, sorted by date. *)
   overlay : W.overlay;
   mutable faults : (Rat.t * Trace.fault) list;
-  (* Growable job store; index = policy job index. *)
+  (* Growable job store, by global job index (stable for the engine's
+     lifetime: replies, slices, WAL records and snapshots use it). *)
   mutable jobs : job array;
   mutable n : int;
   ids : (string, int) Hashtbl.t;  (* request id -> job index *)
   mutable remaining : Rat.t array;  (* parallel to [jobs], fraction left *)
-  mutable inst : I.t option;  (* cache over jobs.(0..n-1), healthy costs *)
-  mutable masked : I.t option;  (* [inst] under the overlay, for decisions *)
+  (* The live set, so that no event visits the whole history. *)
+  mutable arrived : Ids.t;  (* arrived and incomplete, parked or not *)
+  mutable pending : Pending.t;  (* submitted, arrival date still ahead *)
+  mutable num_active : int;  (* = cardinal [arrived] *)
+  mutable num_parked : int;
+  (* Present whenever [runner] is: the table the runner was built on. *)
+  mutable table : table option;
   mutable runner : runner option;
   mutable now : Rat.t;
   (* Current validated decision and its batching state. *)
@@ -146,8 +174,11 @@ let create ?(batch_window = Rat.zero) ?(objective = `Stretch) ?(lost_work = `Los
       n = 0;
       ids = Hashtbl.create 64;
       remaining = [||];
-      inst = None;
-      masked = None;
+      arrived = Ids.empty;
+      pending = Pending.empty;
+      num_active = 0;
+      num_parked = 0;
+      table = None;
       runner = None;
       now = Rat.zero;
     decision = None;
@@ -202,29 +233,15 @@ let create ?(batch_window = Rat.zero) ?(objective = `Stretch) ?(lost_work = `Los
 let submitted t = t.n
 let completed t = t.num_completed
 
-let active t =
-  let k = ref 0 in
-  for j = 0 to t.n - 1 do
-    if t.jobs.(j).arrived && t.jobs.(j).completed_at = None then incr k
-  done;
-  !k
-
-let starved t =
-  let k = ref 0 in
-  for j = 0 to t.n - 1 do
-    let job = t.jobs.(j) in
-    if job.arrived && job.parked && job.completed_at = None then incr k
-  done;
-  !k
+let active t = t.num_active
+let starved t = t.num_parked
 
 (* Arrived, incomplete and not starved: the jobs the policy may schedule. *)
-let schedulable t =
-  let k = ref 0 in
-  for j = 0 to t.n - 1 do
-    let job = t.jobs.(j) in
-    if job.arrived && (not job.parked) && job.completed_at = None then incr k
-  done;
-  !k
+let schedulable t = t.num_active - t.num_parked
+
+let eligible t j =
+  let job = t.jobs.(j) in
+  job.arrived && (not job.parked) && job.completed_at = None
 
 let machine_up t i =
   if i < 0 || i >= Array.length t.overlay then
@@ -252,19 +269,14 @@ let platform t = t.platform
 
 let clock_date t = W.quantize (Clock.now t.clock -. t.origin)
 
-let instance t =
-  match t.inst with
-  | Some i -> i
-  | None ->
-    if t.n = 0 then bug "no jobs submitted";
-    let jobs = Array.sub t.jobs 0 t.n in
-    let releases = Array.map (fun j -> j.arrival) jobs in
-    let weights = Array.map (fun j -> j.weight) jobs in
-    let m = Array.length t.platform.W.speeds in
-    let cost = Array.init m (fun i -> Array.map (fun j -> j.column.(i)) jobs) in
-    let inst = I.make ~releases ~weights cost in
-    t.inst <- Some inst;
-    inst
+let instance_of t ids column =
+  let jobs = Array.map (fun j -> t.jobs.(j)) ids in
+  let columns = Array.map column jobs in
+  let m = Array.length t.platform.W.speeds in
+  I.make
+    ~releases:(Array.map (fun j -> j.arrival) jobs)
+    ~weights:(Array.map (fun j -> j.weight) jobs)
+    (Array.init m (fun i -> Array.map (fun col -> col.(i)) columns))
 
 (* No live machine holds the job's bank: the masked column is all-[None],
    the paper's "every c_{i,j} = +∞" row. *)
@@ -275,35 +287,37 @@ let starved_column t column =
     column;
   not !runnable
 
-(* The instance decisions are made against: [instance t] with down
-   machines' costs masked to [None] (the paper's +∞).  Physically the base
-   instance while the platform is healthy, so failure-free runs are
-   bit-identical to the fault-unaware engine.  Starved jobs keep their
-   healthy column — {!Sched_core.Instance.make} rejects all-[None] columns
-   — but are parked out of the policy's sight, so nothing is ever
-   scheduled against those phantom costs. *)
-let decision_instance t =
-  if W.healthy t.overlay then instance t
-  else
-    match t.masked with
-    | Some i -> i
-    | None ->
-      if t.n = 0 then bug "no jobs submitted";
-      let jobs = Array.sub t.jobs 0 t.n in
-      let releases = Array.map (fun j -> j.arrival) jobs in
-      let weights = Array.map (fun j -> j.weight) jobs in
-      let columns =
-        Array.map
-          (fun j ->
-            if starved_column t j.column then j.column
-            else W.mask_column t.overlay j.column)
-          jobs
-      in
-      let m = Array.length t.platform.W.speeds in
-      let cost = Array.init m (fun i -> Array.map (fun col -> col.(i)) columns) in
-      let inst = I.make ~releases ~weights cost in
-      t.masked <- Some inst;
-      inst
+(* The instance decisions are made against, over the jobs [ids]: down
+   machines' costs masked to [None] (the paper's +∞), degraded ones
+   scaled.  Starved jobs keep their healthy column —
+   {!Sched_core.Instance.make} rejects all-[None] columns — but are parked
+   out of the policy's sight, so nothing is ever scheduled against those
+   phantom costs. *)
+let decision_instance t ids =
+  instance_of t ids (fun job ->
+      if starved_column t job.column then job.column else W.mask_column t.overlay job.column)
+
+(* A decision's cost of running global job [job] on [machine]: its entry
+   of the decision instance. *)
+let cost t ~machine ~job = W.mask_cost t.overlay.(machine) t.jobs.(job).column.(machine)
+
+(* The current table, built over every incomplete job — arrived or not,
+   parked or not — when there is none. *)
+let table t =
+  match t.table with
+  | Some tb -> tb
+  | None ->
+    let incomplete = Pending.fold (fun (_, j) s -> Ids.add j s) t.pending t.arrived in
+    let ids = Array.of_list (Ids.elements incomplete) in
+    Array.iteri (fun l j -> t.jobs.(j).slot <- l) ids;
+    let tb = { ids; inst = decision_instance t ids } in
+    t.table <- Some tb;
+    tb
+
+let slot t j = t.jobs.(j).slot
+
+let by_arrival t a b =
+  Arrival.compare (t.jobs.(a).arrival, a) (t.jobs.(b).arrival, b)
 
 let push t job =
   if t.n = Array.length t.jobs then begin
@@ -334,6 +348,7 @@ let quiesce t =
     t.runner <- None;
     Metrics.incr t.c_rebuilds
   end;
+  t.table <- None;
   t.decision <- None;
   t.dirty <- true;
   t.batch_deadline <- None
@@ -406,6 +421,7 @@ let make_job t ~id ~arrival ~bank ~num_motifs =
     arrived = false;
     parked = false;
     completed_at = None;
+    slot = -1;
   }
 
 let submit t ~id ?arrival ~bank ~num_motifs () =
@@ -425,15 +441,15 @@ let submit t ~id ?arrival ~bank ~num_motifs () =
   log_record t (Wal.Submit { id; arrival; bank; num_motifs });
   let idx = push t job in
   Hashtbl.add t.ids id idx;
-  (* The instance grew: caches over the old job set are stale.  A live
-     rebuild mid-run is counted; replay submits everything up front. *)
-  t.inst <- None;
-  t.masked <- None;
+  t.pending <- Pending.add (arrival, idx) t.pending;
+  (* The job set grew: the table is stale.  A live rebuild mid-run is
+     counted; replay submits everything up front. *)
+  t.table <- None;
   if t.runner <> None then begin
     t.runner <- None;
     Metrics.incr t.c_rebuilds
     (* The current *decision* stays: it is validated shares over jobs that
-       all still exist (indices are stable under growth), and executing it
+       all still exist (global indices are stable), and executing it
        needs no policy state.  The newcomer forces a re-decision only when
        its arrival date fires — which is where the batch window coalesces
        a burst into one consultation instead of one per submit. *)
@@ -448,46 +464,34 @@ let submit t ~id ?arrival ~bank ~num_motifs () =
    views, not eligible, never announced.  They re-enter when a recovery
    makes them runnable again. *)
 let views t =
-  let rec go j acc =
-    if j < 0 then acc
-    else
-      go (j - 1)
-        (if t.jobs.(j).arrived && (not t.jobs.(j).parked) && t.jobs.(j).completed_at = None
-         then
-           { Sim.id = j; release = t.jobs.(j).arrival; weight = t.jobs.(j).weight;
-             remaining = t.remaining.(j) }
-           :: acc
-         else acc)
-  in
-  go (t.n - 1) []
+  List.filter_map
+    (fun j ->
+      let job = t.jobs.(j) in
+      if job.parked then None
+      else
+        Some { Sim.id = slot t j; release = job.arrival; weight = job.weight;
+               remaining = t.remaining.(j) })
+    (Ids.elements t.arrived)
 
 (* Schedulable jobs in announcement order (arrival date, then index) — the
    exact sequence a rebuilt policy state is re-announced, and therefore the
    canonical job enumeration the decision cache keys on. *)
 let announced t =
-  List.filter
-    (fun j ->
-      t.jobs.(j).arrived && (not t.jobs.(j).parked) && t.jobs.(j).completed_at = None)
-    (List.init t.n (fun j -> j))
-  |> List.sort (fun a b ->
-         let c = Rat.compare t.jobs.(a).arrival t.jobs.(b).arrival in
-         if c <> 0 then c else compare a b)
+  List.filter (fun j -> not t.jobs.(j).parked) (Ids.elements t.arrived)
+  |> List.sort (by_arrival t)
 
 let runner t =
   match t.runner with
   | Some r -> r
   | None ->
     let (module P : Sim.POLICY) = t.policy in
-    let state = P.init (decision_instance t) in
+    let state = P.init (table t).inst in
     (* Re-announce the surviving schedulable jobs, in arrival order. *)
-    List.iter (fun j -> P.on_arrival state ~now:t.now ~job:j) (announced t);
+    List.iter (fun j -> P.on_arrival state ~now:t.now ~job:(slot t j)) (announced t);
     let r = Runner ((module P), state) in
     t.runner <- Some r;
     t.dirty <- true;
     r
-
-let eligible_for t j =
-  j < t.n && t.jobs.(j).arrived && (not t.jobs.(j).parked) && t.jobs.(j).completed_at = None
 
 (* Canonical fingerprint of the masked decision instance: availability
    overlay plus the *shape* of every schedulable job — arrival age, bank,
@@ -501,7 +505,7 @@ let eligible_for t j =
    normalization [cached_decision] stores.  The cache is never consulted
    while a long-lived policy state (with history a fingerprint cannot
    see) is driving. *)
-let fingerprint t =
+let fingerprint t announced =
   let b = Buffer.create 256 in
   Buffer.add_string b (policy_name t);
   Buffer.add_char b '|';
@@ -527,10 +531,28 @@ let fingerprint t =
       Buffer.add_string b (string_of_int job.num_motifs);
       Buffer.add_char b ':';
       Buffer.add_string b (Rat.to_string t.remaining.(j)))
-    (announced t);
+    announced;
   Buffer.contents b
 
-let decide_fresh t =
+(* The single point where a decision in the table's local indices becomes
+   the engine's: validate it against the table, translate every share to
+   its global job, and install it. *)
+let adopt t tb (d : Sim.decision) =
+  Sim.check_decision ~where:"Serve.Engine" ~name:(policy_name t) tb.inst
+    ~up:(fun i -> W.machine_live t.overlay.(i))
+    ~eligible:(fun l -> eligible t tb.ids.(l))
+    ~now:t.now d;
+  let d =
+    { d with Sim.shares = List.map (fun s -> { s with Sim.job = tb.ids.(s.Sim.job) }) d.shares }
+  in
+  t.decision <- Some d;
+  t.decided_at <- t.now;
+  t.dirty <- false;
+  t.batch_deadline <- None;
+  d
+
+(* Consult the policy; the decision comes back in local indices. *)
+let consult t =
   let (Runner ((module P), state)) = runner t in
   (* Every LP solve triggered by the policy — exact or float, cold or
      warm — is accounted to this engine by differencing the global solver
@@ -544,7 +566,7 @@ let decide_fresh t =
   let d =
     Obs.Span.with_span "engine.decide" (fun () ->
         Obs.Span.set_str "policy" P.name;
-        Obs.Span.set_int "active" (active t);
+        Obs.Span.set_int "active" t.num_active;
         P.decide state ~now:t.now ~active:(views t))
   in
   let delta = Lp.Instrument.(diff ~before (combined ())) in
@@ -559,30 +581,23 @@ let decide_fresh t =
   Metrics.add t.c_rat_big (NC.big_ops () - rat_big0);
   Metrics.add t.c_rat_promoted (NC.promotions () - rat_promoted0);
   Metrics.add t.c_rat_demoted (NC.demotions () - rat_demoted0);
-  Sim.check_decision ~where:"Serve.Engine" ~name:P.name (decision_instance t)
-    ~up:(fun i -> W.machine_live t.overlay.(i))
-    ~eligible:(fun j ->
-      j < t.n
-      && t.jobs.(j).arrived
-      && (not t.jobs.(j).parked)
-      && t.jobs.(j).completed_at = None)
-    ~now:t.now d;
-  t.decision <- Some d;
-  t.decided_at <- t.now;
-  t.dirty <- false;
-  t.batch_deadline <- None;
   Metrics.incr t.c_decisions;
   d
 
 let decide t =
-  if not (t.cache_enabled && t.runner = None) then decide_fresh t
+  if not (t.cache_enabled && t.runner = None) then begin
+    let d = consult t in
+    adopt t (table t) d
+  end
   else begin
-    let order = Array.of_list (announced t) in
-    let key = fingerprint t in
+    let announced = announced t in
+    let key = fingerprint t announced in
+    let tb = table t in
+    let order = Array.of_list (List.map (slot t) announced) in
     match Hashtbl.find_opt t.decision_cache key with
     | Some cd ->
       (* Hit: reconstitute against the current census without consulting
-         the policy — or even building its state.  Re-validate
+         the policy — or even building its state.  [adopt] re-validates
          defensively: a bad entry must fail loudly, not corrupt the
          schedule. *)
       let shares =
@@ -590,24 +605,15 @@ let decide t =
           (fun (machine, pos, share) -> { Sim.machine; job = order.(pos); share })
           cd.cd_shares
       in
-      let d =
-        { Sim.shares; review_at = Option.map (Rat.add t.now) cd.cd_review_offset }
-      in
       Metrics.incr t.c_cache_hits;
-      Sim.check_decision ~where:"Serve.Engine" ~name:(policy_name t)
-        (decision_instance t)
-        ~up:(fun i -> W.machine_live t.overlay.(i))
-        ~eligible:(eligible_for t) ~now:t.now d;
-      t.decision <- Some d;
-      t.decided_at <- t.now;
-      t.dirty <- false;
-      t.batch_deadline <- None;
-      d
+      adopt t tb
+        { Sim.shares; review_at = Option.map (Rat.add t.now) cd.cd_review_offset }
     | None ->
       Metrics.incr t.c_cache_misses;
-      let d = decide_fresh t in
+      let local = consult t in
+      let d = adopt t tb local in
       (* Canonicalize and insert.  Every share names an eligible job
-         (validated above), so the position lookup is total. *)
+         (validated by [adopt]), so the position lookup is total. *)
       let pos = Hashtbl.create (Array.length order) in
       Array.iteri (fun p j -> Hashtbl.replace pos j p) order;
       let cd =
@@ -615,7 +621,7 @@ let decide t =
           cd_shares =
             List.map
               (fun (s : Sim.share) -> (s.machine, Hashtbl.find pos s.job, s.share))
-              d.Sim.shares;
+              local.Sim.shares;
           cd_review_offset =
             Option.map (fun r -> Rat.sub r t.now) d.Sim.review_at;
         }
@@ -628,13 +634,22 @@ let decide t =
       d
   end
 
+let arrive t j ~parked =
+  let job = t.jobs.(j) in
+  t.pending <- Pending.remove (job.arrival, j) t.pending;
+  job.arrived <- true;
+  job.parked <- parked;
+  t.arrived <- Ids.add j t.arrived;
+  t.num_active <- t.num_active + 1;
+  if parked then t.num_parked <- t.num_parked + 1
+
 let fire_due_arrivals t =
-  let due = ref [] in
-  for j = t.n - 1 downto 0 do
-    if (not t.jobs.(j).arrived) && Rat.compare t.jobs.(j).arrival t.now <= 0 then
-      due := j :: !due
-  done;
-  match !due with
+  let due =
+    Pending.to_seq t.pending
+    |> Seq.take_while (fun (a, _) -> Rat.compare a t.now <= 0)
+    |> Seq.map snd |> List.of_seq
+  in
+  match List.sort Int.compare due with
   | [] -> ()
   | due ->
     let parked, runnable =
@@ -643,21 +658,17 @@ let fire_due_arrivals t =
     (* Nothing live can run a starved job: park it instead of announcing
        it — Mct's arrival handler, for one, asserts some machine can take
        the job. *)
-    List.iter
-      (fun j ->
-        t.jobs.(j).arrived <- true;
-        t.jobs.(j).parked <- true)
-      parked;
+    List.iter (fun j -> arrive t j ~parked:true) parked;
     (match runnable with
      | [] -> ()
      | runnable ->
-       (* Build the runner before flipping [arrived], or a fresh rebuild
+       (* Build the runner before the jobs arrive, or a fresh rebuild
           would announce the batch a second time. *)
        let (Runner ((module P), state)) = runner t in
-       List.iter (fun j -> t.jobs.(j).arrived <- true) runnable;
+       List.iter (fun j -> arrive t j ~parked:false) runnable;
        (* The whole instant's arrivals are one batch: policies hear about
           the burst in a single callback and can rebalance once. *)
-       P.on_batch_arrival state ~now:t.now ~jobs:runnable;
+       P.on_batch_arrival state ~now:t.now ~jobs:(List.map (slot t) runnable);
        (* Batching: within one window of the last decision the current
           plan keeps running and the newcomers wait for the coalesced
           re-decision. *)
@@ -673,11 +684,13 @@ let fire_due_arrivals t =
            Metrics.add t.c_coalesced (List.length runnable)
          end
        end);
-    Metrics.set t.g_queue (float_of_int (active t))
+    Metrics.set t.g_queue (float_of_int t.num_active)
 
 let complete t j =
   let job = t.jobs.(j) in
   job.completed_at <- Some t.now;
+  t.arrived <- Ids.remove j t.arrived;
+  t.num_active <- t.num_active - 1;
   t.num_completed <- t.num_completed + 1;
   t.dirty <- true;
   (* The finishing decision may have outlived its policy state: a live
@@ -686,14 +699,14 @@ let complete t j =
      the eventual rebuild announces only surviving jobs — so the
      completion callback fires only on a runner that announced [j]. *)
   (match t.runner with
-   | Some (Runner ((module P), state)) -> P.on_completion state ~now:t.now ~job:j
-   | None -> ());
+   | Some (Runner ((module P), state)) -> P.on_completion state ~now:t.now ~job:(slot t j)
+   | None -> t.table <- None);
   let flow = Rat.sub t.now job.arrival in
   Metrics.incr t.c_completed;
   Metrics.observe t.h_flow (Rat.to_float flow);
   Metrics.observe t.h_weighted (Rat.to_float (Rat.mul job.weight flow));
   Metrics.observe t.h_stretch (Rat.to_float (Rat.div flow job.fastest));
-  Metrics.set t.g_queue (float_of_int (active t))
+  Metrics.set t.g_queue (float_of_int t.num_active)
 
 (* --- machine failures ----------------------------------------------- *)
 
@@ -723,7 +736,6 @@ let drop_lost_slices t i =
    the policy, and force the next step to re-decide against the reduced
    (or re-grown) platform. *)
 let platform_changed t =
-  t.masked <- None;
   (* Eager invalidation.  The overlay is part of every cache key, so stale
      entries could never *hit* — but a fail/recover cycle returning to a
      previous overlay must re-consult the policy, not resurrect plans made
@@ -731,39 +743,40 @@ let platform_changed t =
      overlays that may never recur. *)
   Hashtbl.reset t.decision_cache;
   let unparked = ref [] in
-  for j = 0 to t.n - 1 do
-    let job = t.jobs.(j) in
-    if job.arrived && job.completed_at = None then begin
+  Ids.iter
+    (fun j ->
+      let job = t.jobs.(j) in
       let s = starved_column t job.column in
-      if s && not job.parked then job.parked <- true
+      if s && not job.parked then begin
+        job.parked <- true;
+        t.num_parked <- t.num_parked + 1
+      end
       else if (not s) && job.parked then begin
         job.parked <- false;
+        t.num_parked <- t.num_parked - 1;
         unparked := j :: !unparked
-      end
-    end
-  done;
-  let unparked =
-    List.sort
-      (fun a b ->
-        let c = Rat.compare t.jobs.(a).arrival t.jobs.(b).arrival in
-        if c <> 0 then c else compare a b)
-      !unparked
-  in
-  (match t.runner with
-   | None -> ()  (* the next [runner] builds against the new platform *)
-   | Some (Runner ((module P), state)) -> (
-     match P.on_platform_change state ~now:t.now ~inst:(decision_instance t) with
+      end)
+    t.arrived;
+  let unparked = List.sort (by_arrival t) !unparked in
+  (match (t.runner, t.table) with
+   | Some (Runner ((module P), state)), Some tb -> (
+     (* Same jobs, same local indices, new costs. *)
+     let tb = { tb with inst = decision_instance t tb.ids } in
+     t.table <- Some tb;
+     match P.on_platform_change state ~now:t.now ~inst:tb.inst with
      | `Adapted ->
        (* The policy kept its state; jobs that were parked the whole time
           were never announced, so introduce the rescued ones now. *)
-       List.iter (fun j -> P.on_arrival state ~now:t.now ~job:j) unparked
+       List.iter (fun j -> P.on_arrival state ~now:t.now ~job:(slot t j)) unparked
      | `Rebuild ->
        t.runner <- None;
-       Metrics.incr t.c_rebuilds));
+       t.table <- None;
+       Metrics.incr t.c_rebuilds)
+   | _ -> t.table <- None (* the next [runner] builds against the new platform *));
   t.decision <- None;
   t.dirty <- true;
   t.batch_deadline <- None;
-  Metrics.set t.g_queue (float_of_int (active t))
+  Metrics.set t.g_queue (float_of_int t.num_active)
 
 (* Apply a fault at the current engine time.  Idempotent: failing a dead
    machine or recovering a live one is a no-op. *)
@@ -838,18 +851,8 @@ let fire_due_faults t =
 
 let next_fault t = match t.faults with [] -> None | (at, _) :: _ -> Some at
 
-let next_arrival_after t date =
-  let best = ref None in
-  for j = 0 to t.n - 1 do
-    if not t.jobs.(j).arrived then begin
-      let a = t.jobs.(j).arrival in
-      if Rat.compare a date > 0 then
-        match !best with
-        | None -> best := Some a
-        | Some b -> if Rat.compare a b < 0 then best := Some a
-    end
-  done;
-  !best
+(* Called after [fire_due_arrivals], so the date is in the future. *)
+let next_arrival t = Option.map fst (Pending.min_elt_opt t.pending)
 
 let advance_time t date =
   (* During recovery replay the events being applied happened in the past:
@@ -900,7 +903,7 @@ let step t ~limit =
          until something changes — an arrival or an injected fault — and
          stop (even mid-drain) when nothing ever will: a permanently
          starved job surfaces as incomplete, it does not livelock. *)
-      match min_opt (next_arrival_after t t.now) (next_fault t) with
+      match min_opt (next_arrival t) (next_fault t) with
       | Some a when within a -> advance_time t a
       | Some _ | None ->
         (match limit with
@@ -914,19 +917,10 @@ let step t ~limit =
         | Some d when not t.dirty -> d
         | _ -> decide t
       in
-      let inst = decision_instance t in
-      let rate = Sim.progress_rates inst d in
       let completion_candidate =
-        List.fold_left
-          (fun acc (v : Sim.job_view) ->
-            if Rat.sign rate.(v.id) > 0 then begin
-              let c = Rat.add t.now (Rat.div v.remaining rate.(v.id)) in
-              match acc with None -> Some c | Some b -> Some (Rat.min b c)
-            end
-            else acc)
-          None (views t)
+        Sim.next_completion ~cost:(cost t) ~now:t.now ~remaining:t.remaining d
       in
-      let arrival_candidate = next_arrival_after t t.now in
+      let arrival_candidate = next_arrival t in
       let event =
         List.fold_left
           (fun acc c ->
@@ -959,19 +953,21 @@ let step t ~limit =
           | _ -> (event, false)
         in
         if Rat.compare te t.now > 0 then begin
-          let segment = Sim.materialize inst ~now:t.now ~horizon:te d ~remaining:t.remaining in
+          let segment =
+            Sim.materialize ~cost:(cost t) ~machines:(Array.length t.overlay) ~now:t.now
+              ~horizon:te d ~remaining:t.remaining
+          in
           advance_time t te;
           append_slices t segment;
           Metrics.incr t.c_segments;
           (* A partial segment consumed part of the plan's shares in time
              but the share *rates* are unchanged, so the decision stays
              valid for the rest of its window. *)
-          for j = 0 to t.n - 1 do
-            if t.jobs.(j).arrived && t.jobs.(j).completed_at = None then begin
+          Ids.iter
+            (fun j ->
               if Rat.sign t.remaining.(j) < 0 then bug "job %d over-processed" j;
-              if Rat.is_zero t.remaining.(j) then complete t j
-            end
-          done
+              if Rat.is_zero t.remaining.(j) then complete t j)
+            t.arrived
         end;
         if not clipped then begin
           (match d.Sim.review_at with
@@ -1014,7 +1010,7 @@ let drain t =
 
 let schedule t =
   if t.n = 0 then invalid_arg "Engine.schedule: nothing submitted";
-  S.make (instance t) (List.rev t.slices)
+  S.make (instance_of t (Array.init t.n Fun.id) (fun job -> job.column)) (List.rev t.slices)
 
 (* --- recovery --------------------------------------------------------- *)
 
@@ -1127,12 +1123,16 @@ let restore ~clock ~policy platform st =
         make_job t ~id:js.js_id ~arrival:js.js_arrival ~bank:js.js_bank
           ~num_motifs:js.js_num_motifs
       in
-      job.arrived <- js.js_arrived;
-      job.parked <- js.js_parked;
       job.completed_at <- js.js_completed_at;
       let idx = push t job in
       t.remaining.(idx) <- js.js_remaining;
-      Hashtbl.add t.ids js.js_id idx)
+      Hashtbl.add t.ids js.js_id idx;
+      if js.js_completed_at <> None then begin
+        job.arrived <- js.js_arrived;
+        job.parked <- js.js_parked
+      end
+      else if js.js_arrived then arrive t idx ~parked:js.js_parked
+      else t.pending <- Pending.add (js.js_arrival, idx) t.pending)
     st.st_jobs;
   Array.blit st.st_overlay 0 t.overlay 0 m;
   t.faults <- st.st_faults;

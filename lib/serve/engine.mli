@@ -7,7 +7,7 @@
     a live daemon), and every decision, segment and completed request is
     recorded in an {!Obs.Registry}.  The scheduling semantics are
     shared with the simulator through its exposed hooks
-    ({!Online.Sim.check_decision}, {!Online.Sim.progress_rates},
+    ({!Online.Sim.check_decision}, {!Online.Sim.next_completion},
     {!Online.Sim.materialize}): a virtual-clock replay of a trace with a
     zero batch window produces {e exactly} the schedule [Sim.run] produces
     on the equivalent offline instance.
@@ -32,6 +32,12 @@
     date fires, which is where the batch window coalesces a burst into a
     single consultation.  Trace replay submits everything before the
     first step and never rebuilds.
+
+    {b Work per event.}  Job indices returned by {!submit} are global and
+    stable for the engine's lifetime.  The policy is built, at each
+    rebuild, on an instance over the incomplete jobs only, numbered in
+    the same relative order; each event visits the jobs in the system,
+    never the whole history (DESIGN.md §7).
 
     {b Decision caching.}  {!set_decision_cache} arms a cache of past
     decisions keyed by a canonical fingerprint of the masked decision

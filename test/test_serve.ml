@@ -943,6 +943,65 @@ let test_engine_catch_up_guard () =
 
 
 (* ------------------------------------------------------------------ *)
+(* Bounded work per event                                              *)
+(* ------------------------------------------------------------------ *)
+
+(* The protocol commands of a client walking a trace in arrival order:
+   [tick] up to each arrival date, then [submit]; [around k] gives the
+   commands to send just before and just after the k-th submit. *)
+let walk ?(around = fun _ -> ([], [])) entries =
+  let now = ref R.zero in
+  let centis r = int_of_string (R.to_string (R.mul r (R.of_int 100))) in
+  List.concat
+    (List.mapi
+       (fun k (e : T.entry) ->
+         let at = e.request.W.arrival in
+         let tick =
+           if R.compare at !now > 0 then begin
+             let c = centis (R.sub at !now) in
+             now := at;
+             [ Printf.sprintf "tick %d.%02d" (c / 100) (c mod 100) ]
+           end
+           else []
+         in
+         let before, after = around k in
+         tick @ before
+         @ [ Printf.sprintf "submit %s %d %d" e.id e.request.W.bank e.request.W.num_motifs ]
+         @ after)
+       entries)
+
+(* The engine's work per command must follow the jobs in the system, not
+   the jobs ever submitted.  A 3200-request diurnal day under mct keeps
+   only a handful of requests live at any time, so the exact-arithmetic
+   operations spent on its last 400 commands may be at most twice those
+   spent on commands 400-800.  An engine that rescans its whole history
+   on every event grows that ratio with the length of the run. *)
+let test_bounded_work () =
+  let platform = (T.diurnal ~seed:1 ~peak_rate:0.2 ~count:1 ()).T.platform in
+  let trace = { (T.diurnal ~seed:7 ~peak_rate:0.2 ~count:3200 ()) with T.platform } in
+  let stream = walk trace.entries @ [ "drain" ] in
+  let eng =
+    E.create ~clock:(Serve.Clock.virtual_ ()) ~policy:(module Online.Policies.Mct) platform
+  in
+  let srv = Serve.Server.create ~admission:(A.create eng) eng in
+  let ops =
+    Par.Pool.with_jobs 1 (fun () ->
+        Array.of_list
+          (List.map
+             (fun cmd ->
+               let before = Numeric.Counters.small_ops () in
+               ignore (Serve.Server.handle_line srv cmd);
+               Numeric.Counters.small_ops () - before)
+             stream))
+  in
+  Alcotest.(check int) "all completed" 3200 (E.completed eng);
+  let total lo hi = Array.fold_left ( + ) 0 (Array.sub ops lo (hi - lo)) in
+  let n = Array.length ops in
+  let early = total 400 800 and late = total (n - 400) n in
+  if late > 2 * early then
+    Alcotest.failf "last 400 commands cost %d small ops, commands 400-800 cost %d" late early
+
+(* ------------------------------------------------------------------ *)
 (* Golden schedules                                                    *)
 (* ------------------------------------------------------------------ *)
 
@@ -968,28 +1027,11 @@ let golden_platform () =
    then drain. *)
 let golden_script ~count =
   let trace = T.diurnal ~seed:12 ~banks:3 ~peak_rate:0.2 ~count () in
-  let now = ref R.zero in
-  let centis r = int_of_string (R.to_string (R.mul r (R.of_int 100))) in
-  List.concat
-    (List.mapi
-       (fun k (e : T.entry) ->
-         let at = e.request.W.arrival in
-         let tick =
-           if R.compare at !now > 0 then begin
-             let c = centis (R.sub at !now) in
-             now := at;
-             [ Printf.sprintf "tick %d.%02d" (c / 100) (c mod 100) ]
-           end
-           else []
-         in
-         let fault =
-           if k = count / 3 then [ "fail 0" ] else if k = count / 2 then [ "recover 0" ] else []
-         in
-         tick @ fault
-         @ [ Printf.sprintf "submit %s %d %d" e.id e.request.W.bank e.request.W.num_motifs ]
-         @ if k mod 10 = 9 then [ "status" ] else [])
-       trace.entries)
-  @ [ "status"; "drain"; "status" ]
+  let around k =
+    ( (if k = count / 3 then [ "fail 0" ] else if k = count / 2 then [ "recover 0" ] else []),
+      if k mod 10 = 9 then [ "status" ] else [] )
+  in
+  walk ~around trace.entries @ [ "status"; "drain"; "status" ]
 
 (* Drop one histogram (wall-clock solver seconds) from a registry JSON
    line. *)
@@ -1097,6 +1139,7 @@ let () =
           Alcotest.test_case "grammar lint" `Quick test_protocol_grammar_lint;
           Alcotest.test_case "tick guard" `Quick test_server_tick_guard
         ] );
+      ("bounded work", [ Alcotest.test_case "per-command cost" `Quick test_bounded_work ]);
       ( "golden",
         List.map
           (fun ((module P : Online.Sim.POLICY) as policy, count) ->
