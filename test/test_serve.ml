@@ -1139,7 +1139,7 @@ let () =
           Alcotest.test_case "grammar lint" `Quick test_protocol_grammar_lint;
           Alcotest.test_case "tick guard" `Quick test_server_tick_guard
         ] );
-      ("bounded work", [ Alcotest.test_case "per-command cost" `Quick test_bounded_work ]);
+      ("bounded", [ Alcotest.test_case "per-command cost" `Quick test_bounded_work ]);
       ( "golden",
         List.map
           (fun ((module P : Online.Sim.POLICY) as policy, count) ->
