@@ -380,6 +380,8 @@ let test_rat_approx_known () =
     (R.approx ~max_den:10 (R.of_ints 3 4));
   Alcotest.(check rat) "negative mirrors" (R.of_ints (-22) 7)
     (R.approx ~max_den:10 (R.neg pi));
+  Alcotest.(check rat) "den ≤ 1 rounds to nearest, not to -2009/2" (R.of_int (-1004))
+    (R.approx ~max_den:1 (R.of_string "-392471999/390787"));
   Alcotest.(check bool) "max_den 0 rejected" true
     (try ignore (R.approx ~max_den:0 pi); false with Invalid_argument _ -> true)
 
@@ -825,7 +827,8 @@ let test_rat_of_string_valid () =
 let prop_rat_approx_bound_big =
   (* The denominator bound must hold for values whose components live on
      the limb path too, and the result must never be further from x than
-     the trivial candidate round(x·d)/d for any sampled d. *)
+     the trivial candidate round(x·d)/d for any sampled admissible d
+     (1 ≤ d ≤ max_den: a finer denominator may well land closer). *)
   QCheck.Test.make ~name:"approx respects max_den on big operands" ~count:200
     (QCheck.pair arbitrary_rexpr (QCheck.int_range 1 997))
     (fun (e, max_den) ->
@@ -838,7 +841,7 @@ let prop_rat_approx_bound_big =
            (fun d ->
              let num = R.floor (R.add (R.mul_int x d) (R.of_ints 1 2)) in
              R.compare (dist a) (dist (R.make num (B.of_int d))) <= 0)
-           (List.filter (fun d -> d >= 1) [ 1; 2; 3; max_den / 2; max_den ]))
+           (List.filter (fun d -> d >= 1 && d <= max_den) [ 1; 2; 3; max_den / 2; max_den ]))
 
 let dyadic_gen =
   let open QCheck.Gen in
